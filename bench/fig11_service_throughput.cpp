@@ -11,9 +11,6 @@
 //                                               # via the AnyIndex service
 //   ./fig11_service_throughput --backend mixed  # heterogeneous: SPaC-Z hot
 //                                               # shards + log cold shards
-//   ./fig11_service_throughput --pipeline off   # disable the two-stage
-//                                               # commit pipeline (on by
-//                                               # default; group_commit.h)
 //   ./fig11_service_throughput --wal on         # arm the write-ahead log
 //                                               # (fsync'd commit records in
 //                                               # a temp dir) for every cell
@@ -120,14 +117,13 @@ void run_client(Service& svc, int id, std::size_t ops, int read_pct,
 template <typename Service, typename MakeService>
 Cell run_cell(MakeService&& make_service, std::size_t shards, int read_pct,
               std::size_t n, std::size_t ops_per_client, int clients,
-              const std::vector<Point2>& base, bool pipeline,
+              const std::vector<Point2>& base,
               const std::string& wal_dir = {}) {
   ServiceConfig cfg;
   cfg.initial_shards = shards;
   // Keep the topology fixed so the cell isolates shard-count scaling.
   cfg.split_threshold = n * 8;
   cfg.merge_threshold = 1;
-  cfg.pipelined_commits = pipeline;
   if (!wal_dir.empty()) {
     std::filesystem::remove_all(wal_dir);
     cfg.durability.enabled = true;
@@ -177,15 +173,6 @@ std::string backend_choice(int argc, char** argv) {
   return "";
 }
 
-bool pipeline_choice(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--pipeline") == 0) {
-      return std::strcmp(argv[i + 1], "off") != 0;
-    }
-  }
-  return true;  // group_commit.h default
-}
-
 bool wal_choice(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--wal") == 0) {
@@ -209,7 +196,6 @@ int main(int argc, char** argv) {
   const std::size_t ops = bench_queries(20000);
   const int clients = bench_clients(4);
   const std::string backend = backend_choice(argc, argv);
-  const bool pipeline = pipeline_choice(argc, argv);
   const bool wal = wal_choice(argc, argv);
   const char* trace_file = std::getenv("PSI_TRACE_FILE");
   if (psi::telemetry::kEnabled && trace_file != nullptr) {
@@ -225,9 +211,9 @@ int main(int argc, char** argv) {
   const std::string label = backend.empty() ? "SPaC-Z" : backend;
   std::printf("Fig 11: service throughput — %s backend, %zu base points, "
               "%d clients, %zu ops/client, %d scheduler workers, "
-              "pipeline %s, wal %s\n",
+              "wal %s\n",
               label.c_str(), n, clients, ops, psi::num_workers(),
-              pipeline ? "on" : "off", wal ? "on" : "off");
+              wal ? "on" : "off");
   std::printf("(shard-count scaling comes from the per-shard parallel apply "
               "and per-query fan-out;\n expect K>1 gains only with multiple "
               "scheduler workers / cores)\n");
@@ -236,14 +222,13 @@ int main(int argc, char** argv) {
 
   const auto emit_cell = [&](const Cell& cell, bool wal_on) {
     std::printf("BENCH_JSON {\"bench\":\"fig11_service_throughput\","
-                "\"backend\":\"%s\",\"pipeline\":%s,\"durability\":\"%s\","
+                "\"backend\":\"%s\",\"durability\":\"%s\","
                 "\"shards\":%zu,\"read_pct\":%d,"
                 "\"clients\":%d,\"workers\":%d,\"n\":%zu,\"ops\":%zu,"
                 "\"seconds\":%.4f,\"ops_per_sec\":%.1f,\"stats\":%s}\n",
-                label.c_str(), pipeline ? "true" : "false",
-                wal_on ? "wal" : "off", cell.shards, cell.read_pct, clients,
-                psi::num_workers(), n, cell.ops, cell.seconds,
-                cell.ops_per_sec(), cell.stats.json().c_str());
+                label.c_str(), wal_on ? "wal" : "off", cell.shards,
+                cell.read_pct, clients, psi::num_workers(), n, cell.ops,
+                cell.seconds, cell.ops_per_sec(), cell.stats.json().c_str());
   };
 
   for (int read_pct : {90, 50, 10}) {
@@ -257,7 +242,7 @@ int main(int argc, char** argv) {
             [](const ServiceConfig& cfg) {
               return SpatialService<SpacZTree2>(cfg);
             },
-            k, read_pct, n, ops, clients, base, pipeline, wal_dir);
+            k, read_pct, n, ops, clients, base, wal_dir);
       } else if (backend == "mixed") {
         cell = run_cell<SpatialService<api::AnyIndex2>>(
             [k](const ServiceConfig& cfg) {
@@ -269,7 +254,7 @@ int main(int argc, char** argv) {
                                           : reg.make("log");
                   });
             },
-            k, read_pct, n, ops, clients, base, pipeline, wal_dir);
+            k, read_pct, n, ops, clients, base, wal_dir);
       } else {
         cell = run_cell<SpatialService<api::AnyIndex2>>(
             [&backend](const ServiceConfig& cfg) {
@@ -278,7 +263,7 @@ int main(int argc, char** argv) {
                     return api::BackendRegistry2::instance().make(backend);
                   });
             },
-            k, read_pct, n, ops, clients, base, pipeline, wal_dir);
+            k, read_pct, n, ops, clients, base, wal_dir);
       }
       row.push_back(Table::fmt(cell.ops_per_sec()));
       emit_cell(cell, wal);
@@ -298,7 +283,7 @@ int main(int argc, char** argv) {
           [](const ServiceConfig& cfg) {
             return SpatialService<SpacZTree2>(cfg);
           },
-          k, 50, n, ops, clients, base, pipeline, wal_dir);
+          k, 50, n, ops, clients, base, wal_dir);
       row.push_back(Table::fmt(cell.ops_per_sec()));
       emit_cell(cell, /*wal_on=*/true);
       std::filesystem::remove_all(wal_dir);

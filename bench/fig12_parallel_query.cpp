@@ -5,7 +5,7 @@
 // path (plain sink: shard-by-shard, no forking) with the parallel engine
 // (api::ConcurrentSink: TaskGroup shard fan-out + native parallel subtree
 // traversal). This is the read-path half of the execution engine; fig11
-// --pipeline covers the write-path half.
+// covers the write path.
 //
 // Output: a table plus one JSON line per cell:
 //   BENCH_JSON {"bench":"fig12_parallel_query","workload":"Uniform",

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -34,6 +35,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -119,17 +121,29 @@ struct RecoveredState {
 
 namespace detail {
 
-// Remove ONE occurrence of p (multiset semantics); false when absent.
+// Multiset of the points one delete run still has to remove.
 template <typename Coord, int D>
-bool erase_one(std::vector<Point<Coord, D>>& pts, const Point<Coord, D>& p) {
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    if (pts[i] == p) {
-      pts[i] = pts.back();
-      pts.pop_back();
-      return true;
+using DeleteCounts =
+    std::unordered_map<Point<Coord, D>, std::size_t, PointHash<Coord, D>>;
+
+// Remove from `pts` one occurrence per outstanding count, in one pass,
+// decrementing (and dropping exhausted) entries of `counts` as it goes.
+// Stops scanning as soon as nothing is left to remove.
+template <typename Coord, int D>
+void erase_counted(std::vector<Point<Coord, D>>& pts,
+                   DeleteCounts<Coord, D>& counts) {
+  std::size_t kept = 0;
+  std::size_t i = 0;
+  for (; i < pts.size() && !counts.empty(); ++i) {
+    const auto it = counts.find(pts[i]);
+    if (it == counts.end()) {
+      pts[kept++] = pts[i];
+    } else if (--it->second == 0) {
+      counts.erase(it);
     }
   }
-  return false;
+  pts.erase(pts.begin() + static_cast<std::ptrdiff_t>(kept),
+            pts.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 }  // namespace detail
@@ -242,19 +256,21 @@ RecoveredState<Coord, D> recover(
             slot.pts.insert(slot.pts.end(), run.pts.begin(), run.pts.end());
             continue;
           }
-          for (const auto& p : run.pts) {
-            // Own shard first; then everywhere. Splits and merges between
-            // the checkpoint and the crash re-key shards without logging
-            // the redistribution (installs are not WAL events), so a
-            // post-split delete can target a key whose victim still sits
-            // under the pre-split key in the recovered state. The union is
-            // what recovery promises (callers bulk-load all_points()), and
-            // the union only needs ONE matching occurrence gone.
-            if (!detail::erase_one(slot.pts, p)) {
-              for (auto& other : out.shards) {
-                if (&other != &slot && detail::erase_one(other.pts, p)) break;
-              }
-            }
+          // One pass over the shard per run, not per delete: each point
+          // of the run removes ONE matching occurrence. Own shard first;
+          // then everywhere. Splits and merges between the checkpoint and
+          // the crash re-key shards without logging the redistribution
+          // (installs are not WAL events), so a post-split delete can
+          // target a key whose victim still sits under the pre-split key
+          // in the recovered state. The union is what recovery promises
+          // (callers bulk-load all_points()); a point absent everywhere
+          // is a no-op.
+          detail::DeleteCounts<Coord, D> counts;
+          for (const auto& p : run.pts) ++counts[p];
+          detail::erase_counted(slot.pts, counts);
+          for (auto& other : out.shards) {
+            if (counts.empty()) break;
+            if (&other != &slot) detail::erase_counted(other.pts, counts);
           }
         }
         if (sh.version > slot.version) slot.version = sh.version;

@@ -144,8 +144,7 @@ class DistributedService {
       psi::durability::DurabilityConfig dur = cfg.durability;
       if (dur.armed()) dur.dir = node_dir(id);
       hosts_.push_back(std::make_unique<host_t>(
-          id, transport_, factory, cfg.pipelined_commits, std::move(dur),
-          cfg.retained_epochs));
+          id, transport_, factory, std::move(dur), cfg.retained_epochs));
       hosts_.back()->set_arena_checkpoints(cfg.arena_handoff);
       ids.push_back(id);
     }

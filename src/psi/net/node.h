@@ -103,12 +103,11 @@ class ShardHost {
   // discipline in that case (shard_store.h) so commits never block on the
   // pinned replicas.
   ShardHost(NodeId id, Transport& transport, factory_t factory,
-            bool pipelined_commits = true,
             psi::durability::DurabilityConfig dur = {},
             std::size_t retained_epochs = 1)
       : id_(id),
         transport_(transport),
-        store_(std::move(factory), pipelined_commits),
+        store_(std::move(factory)),
         retained_views_(retained_epochs),
         dur_(std::move(dur)) {
     store_.set_metrics(metrics_);
@@ -301,7 +300,6 @@ class ShardHost {
     tasks.wait();
     for (const auto& b : batches) versions_[b.slot] = b.version;
     publish();
-    store_.spawn_replays();
 
     if constexpr (psi::durability::kEnabled) {
       if (wal_.is_open()) {
@@ -837,8 +835,8 @@ struct CoordinatorStats {
 };
 
 // Write-side configuration of the distributed service. Inherits the
-// in-process knobs (split/merge thresholds, shard floors, cache shape —
-// pipelining applies on each host).
+// in-process knobs (split/merge thresholds, shard floors, cache shape,
+// view retention — the last applies on each host).
 struct DistributedConfig : service::ServiceConfig {
   // Keep per-node shard counts within one of each other by migrating
   // shards off the most loaded node after every commit's rebalance.

@@ -9,9 +9,8 @@
 //    enqueues the job for the pool (foreign threads park it on deque 0,
 //    from which workers steal it); join() claims-and-runs the job if nobody
 //    stole it, otherwise waits — executing other pool work meanwhile when
-//    the joiner is itself a pool thread. The service's pipelined group
-//    commit uses one AsyncTask per shard to overlap the standby replay of
-//    batch i with everything that follows its publication.
+//    the joiner is itself a pool thread. It is the building block of
+//    TaskGroup below.
 //  * TaskGroup owns any number of AsyncTasks and joins them all in wait()
 //    (rethrowing the first captured exception after every task finished).
 //    Snapshot queries use it to fan out over shards from reader threads.

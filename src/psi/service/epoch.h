@@ -159,26 +159,20 @@ class RetainedViews {
 // indefinitely — including the degenerate case of the committing thread
 // itself holding one — must not wedge the writer, so on timeout the caller
 // abandons the pinned replica and clones a fresh one instead (see
-// group_commit.h, `replica_rebuilds` in stats).
+// ShardStore::apply in shard_store.h, `replica_rebuilds` in stats).
 struct GraceResult {
   bool quiesced = true;
   std::uint64_t iters = 0;
 };
 
-// `allowed_refs` is the number of references that legitimately remain when
-// the object is quiescent: 1 for a caller holding the only handle, 2 when a
-// detached task holds its own copy alongside the owning slot (the pipelined
-// replay of group_commit.h).
 template <typename T>
 GraceResult await_quiescent(const std::shared_ptr<T>& handle,
-                            std::uint64_t max_iters = 4096,
-                            long allowed_refs = 1) {
+                            std::uint64_t max_iters = 4096) {
   GraceResult r;
   // use_count is approximate under concurrency in general, but here it can
   // only *decrease* once the slot no longer hands the pointer out (the
-  // writer re-published a newer version first), so ==allowed_refs is a
-  // stable state.
-  while (handle.use_count() > allowed_refs) {
+  // writer re-published a newer version first), so ==1 is a stable state.
+  while (handle.use_count() > 1) {
     if (r.iters >= max_iters) {
       r.quiesced = false;
       return r;

@@ -38,19 +38,15 @@
 //     distributed coordinator (net/node.h) drives the identical directory
 //     with real placements.
 //   * a ShardStore (shard_store.h): the replica slot mechanics — ping-pong
-//     standby, grace periods, pending-log replay, pipelined asynchronous
-//     replays, replica rebuilds under pinned readers. The same store runs
-//     on every node of the distributed service.
+//     standby, grace periods, pending-log replay, replica rebuilds under
+//     pinned readers. The same store runs on every node of the distributed
+//     service.
 //
 // The ping-pong standby costs 2x memory and applies every batch twice, and
 // in exchange updates never copy a tree and readers never take a lock; the
 // replay is batched work on a tree of the same size the live apply just
-// handled, so write throughput stays within ~2x of the raw index.
-//
-// Pipelined commits (cfg.pipelined_commits, default on): the standby
-// replay is taken off the commit critical path — see shard_store.h for the
-// task protocol. Epoch publication order, the grace-period protocol, and
-// the observable commit semantics are unchanged.
+// handled, so write throughput stays within ~2x of the raw index. All of
+// step 2 runs inside the commit, so step 3 may move or drop slots freely.
 
 #pragma once
 
@@ -94,10 +90,6 @@ struct ServiceConfig {
   std::size_t max_shards = 1024;
   // Background committer wake-up interval (service.h).
   int commit_interval_ms = 1;
-  // Two-stage commit pipeline: replay the standby asynchronously after
-  // publish instead of on the next commit's critical path (see
-  // shard_store.h). Off = the strictly sequential replay-then-apply writer.
-  bool pipelined_commits = true;
   // Query-cache shape (service.h / query_cache.h): number of memo slots,
   // and the size-aware admission budget — list results above this many
   // bytes are answered but not cached.
@@ -149,7 +141,7 @@ class GroupCommitter {
   GroupCommitter(ServiceConfig cfg, factory_t factory)
       : cfg_(cfg),
         dir_(std::max<std::size_t>(1, cfg.initial_shards)),
-        store_(std::move(factory), cfg.pipelined_commits),
+        store_(std::move(factory)),
         retained_(cfg.retained_epochs) {
     store_.set_metrics(metrics_);
     store_.set_retention_pinned(cfg.retained_epochs > 1);
@@ -204,8 +196,7 @@ class GroupCommitter {
     dir_.reset(map_t::from_sorted_codes(
         codes, std::max<std::size_t>(1, cfg_.initial_shards)));
     const std::size_t k = dir_.num_shards();
-    // resize_slots settles the in-flight replays of the outgoing slots.
-    stats_.grace_yields += store_.resize_slots(k);
+    store_.resize_slots(k);
     parallel_for_shards(k, [&](std::size_t i) {
       // Shard i owns the contiguous sorted slice of codes in its range.
       store_.build_slot_at(i, shard_slice(coded, codes, dir_.map(), i), i);
@@ -295,12 +286,6 @@ class GroupCommitter {
         });
         for (auto y : yields) stats_.grace_yields += y;
       }
-      // Untouched shards may still be replaying batch i-1 — that is the
-      // pipeline's overlap, so they are NOT joined here. Moving a slot is
-      // safe while its task runs (the task owns copies, never slot
-      // pointers), and a split/merge that overwrites or erases a slot
-      // joins that one task implicitly through AsyncTask's move-assign /
-      // destructor.
       {
         PSI_TRACE_SPAN("commit.rebalance");
         rebalance();
@@ -317,7 +302,6 @@ class GroupCommitter {
         }
       }
       publish();
-      store_.spawn_replays();
     }
 
     const std::uint64_t epoch = stats_.epoch;
@@ -566,8 +550,8 @@ class GroupCommitter {
   // Epoch-keyed retention ring behind acquire_at (pinned reads).
   RetainedViews<view_t> retained_;
   ServiceStats stats_;
-  // Telemetry: the histogram bundle (shared with the store's replay tasks
-  // and every published view) and the per-shard heat accounting.
+  // Telemetry: the histogram bundle (shared with the store and every
+  // published view) and the per-shard heat accounting.
   std::shared_ptr<telemetry::ServiceMetrics> metrics_ =
       std::make_shared<telemetry::ServiceMetrics>();
   telemetry::ShardHeat heat_;

@@ -1,28 +1,27 @@
 // PSI-Lib service layer: the replica slot store.
 //
 // A ShardStore owns the *physical* side of a set of shards: for each slot a
-// ping-pong replica pair (live + standby), the pending log between them,
-// and the in-flight asynchronous standby replay. It is the piece of the
-// group-commit writer that is purely about replica mechanics — grace
-// periods, replica rebuilds when a pinned reader wedges the standby, the
-// pipelined replay — with no knowledge of shard *identity*: which code
-// range, key, owner node, or version a slot corresponds to is its caller's
-// business (GroupCommitter keeps slots positionally aligned with its
-// ShardDirectory; a net::ShardHost keys them by global shard key).
+// ping-pong replica pair (live + standby) and the pending log between them.
+// It is the piece of the group-commit writer that is purely about replica
+// mechanics — grace periods, pending-log replay, replica rebuilds when a
+// pinned reader wedges the standby — with no knowledge of shard *identity*:
+// which code range, key, owner node, or version a slot corresponds to is
+// its caller's business (GroupCommitter keeps slots positionally aligned
+// with its ShardDirectory; a net::ShardHost keys them by global shard key).
 //
 // Extracted from GroupCommitter so the same replica discipline runs both
 // in the single-process service and on every node of the distributed
 // service: a remote commit batch shipped to a ShardHost lands in exactly
-// this apply() — settle the replay, wait the grace period, replay the
-// pending log, apply the new runs, swap live — that the in-process writer
-// uses.
+// this apply() — wait the grace period, replay the pending log, apply the
+// new runs, swap live — that the in-process writer uses. All of it happens
+// inside the commit: the store has one writer and no background tasks.
 //
-// Thread contract: all mutating calls (apply, insert/erase/replace,
-// spawn_replays, settle_all, clear) must be externally serialised per
-// store, except that apply() on *distinct* slots may run concurrently
-// (the parallel per-shard commit). Readers never touch the store; they
-// hold shared_ptrs to live replicas published elsewhere (snapshot.h /
-// node.h), which is what the grace periods wait out.
+// Thread contract: all mutating calls (apply, slot insert/replace/erase,
+// clear) must be externally serialised per store, except that apply() on
+// *distinct* slots may run concurrently (the parallel per-shard commit).
+// Readers never touch the store; they hold shared_ptrs to live replicas
+// published elsewhere (snapshot.h / node.h), which is what the grace
+// periods wait out.
 
 #pragma once
 
@@ -30,7 +29,6 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -38,7 +36,6 @@
 #include <vector>
 
 #include "psi/api/concepts.h"
-#include "psi/parallel/task_group.h"
 #include "psi/service/epoch.h"
 #include "psi/telemetry/metrics.h"
 #include "psi/telemetry/trace.h"
@@ -129,22 +126,10 @@ class ShardStore {
   // same id so live and standby stay the same backend.
   using factory_t = std::function<Index(std::size_t)>;
 
-  explicit ShardStore(factory_t factory, bool pipelined = true)
-      : factory_(std::move(factory)), pipelined_(pipelined) {}
+  explicit ShardStore(factory_t factory) : factory_(std::move(factory)) {}
 
   ShardStore(const ShardStore&) = delete;
   ShardStore& operator=(const ShardStore&) = delete;
-
-  ~ShardStore() {
-    // Outstanding replay tasks reference replica handles; join them before
-    // the slots go away. Task exceptions die with the store.
-    for (auto& s : slots_) {
-      try {
-        s.replay.join();
-      } catch (...) {
-      }
-    }
-  }
 
   std::size_t num_slots() const { return slots_.size(); }
 
@@ -163,21 +148,14 @@ class ShardStore {
     }
   }
 
-  // Settle every replay and drop all slots (bulk load is about to replace
-  // them wholesale). Returns the settled replays' grace yields.
-  std::uint64_t clear() {
-    const std::uint64_t yields = settle_all();
-    slots_.clear();
-    return yields;
-  }
+  // Drop all slots (bulk load is about to replace them wholesale).
+  void clear() { slots_.clear(); }
 
   // Resize to k default (empty, replica-less) slots; pair with
-  // build_slot_at from a parallel loop. Settles any in-flight replays
-  // first and returns their grace yields.
-  std::uint64_t resize_slots(std::size_t k) {
-    const std::uint64_t yields = clear();
+  // build_slot_at from a parallel loop.
+  void resize_slots(std::size_t k) {
+    clear();
     slots_.resize(k);
-    return yields;
   }
 
   // Build slot i's replica pair from `pts`. Safe concurrently on distinct
@@ -194,8 +172,7 @@ class ShardStore {
                   build_slot(pts, factory_id));
   }
 
-  // Replace the slot at `pos` with a rebuilt one. The old slot's in-flight
-  // replay joins implicitly through move-assignment.
+  // Replace the slot at `pos` with a rebuilt one.
   void replace_slot(std::size_t pos, const std::vector<point_t>& pts,
                     std::size_t factory_id) {
     slots_[pos] = build_slot(pts, factory_id);
@@ -254,10 +231,9 @@ class ShardStore {
     return total;
   }
 
-  // Erase the slot at `pos`; its in-flight replay joins in the destructor
-  // and in-flight *readers* of the live replica stay safe through their
-  // own shared_ptr (the RCU grace discipline — dropping a slot never
-  // frees a replica a reader still pins).
+  // Erase the slot at `pos`; in-flight *readers* of the live replica stay
+  // safe through their own shared_ptr (the RCU grace discipline — dropping
+  // a slot never frees a replica a reader still pins).
   void erase_slot(std::size_t pos) {
     slots_.erase(slots_.begin() + static_cast<std::ptrdiff_t>(pos));
   }
@@ -287,9 +263,8 @@ class ShardStore {
     return replica_rebuilds_.load(std::memory_order_relaxed);
   }
 
-  // Telemetry sink for grace/replay stage timings. Shared (not owned):
-  // detached replay tasks copy the shared_ptr so the histograms outlive
-  // whichever of store and owner dies first.
+  // Telemetry sink for the grace/replay stage timings apply() records.
+  // Shared with the owner, which reads the same histograms for its stats.
   void set_metrics(std::shared_ptr<telemetry::ServiceMetrics> m) {
     metrics_ = std::move(m);
   }
@@ -299,27 +274,27 @@ class ShardStore {
   // replica the ping-pong writer wants to recycle, so for recently-touched
   // shards the grace wait can never succeed: shrink it to a few yields
   // (cold shards still quiesce on the first check) and fall straight
-  // through to the replica rebuild, and skip the pipelined replays whose
-  // grace wait would only park a pool worker. Retention must never block
-  // the committer — this is the mechanism.
+  // through to the replica rebuild. Retention must never block the
+  // committer — this is the mechanism.
   void set_retention_pinned(bool pinned) { retention_pinned_ = pinned; }
 
   // -------------------------------------------------------------------
   // The commit path
   // -------------------------------------------------------------------
 
-  // Replay + apply on slot i's standby replica, then swap it live. Safe
-  // concurrently on distinct slots. Returns grace-period yields.
+  // Wait out the grace period on slot i's standby, replay the pending log,
+  // apply the group's runs and swap the standby live. Safe concurrently on
+  // distinct slots. Returns grace-period yields.
   std::uint64_t apply(std::size_t i, std::vector<run_t> group_runs) {
     ShardSlot& s = slots_[i];
-    std::uint64_t yields = settle_replay(s);
-    if (!s.standby_caught_up) {
+    std::uint64_t yields = 0;
+    {
       telemetry::ScopedTimer grace_timer(
           metrics_ ? &metrics_->stage_hist(telemetry::Stage::kGrace)
                    : nullptr);
       const GraceResult grace = await_quiescent(
           s.standby, retention_pinned_ ? kPinnedGraceIters : 4096);
-      yields += grace.iters;
+      yields = grace.iters;
       if (!grace.quiesced) {
         // A stale reader (possibly this very thread, holding a snapshot
         // across a flush) pins the replica: abandon it and clone live,
@@ -333,60 +308,16 @@ class ShardStore {
       }
     }
     Index& idx = *s.standby;
-    for (const run_t& run : s.pending) apply_run(idx, run);
+    if (!s.pending.empty()) {
+      PSI_TRACE_SPAN("replay");
+      telemetry::ScopedTimer replay_timer(
+          metrics_ ? &metrics_->stage_hist(telemetry::Stage::kReplay)
+                   : nullptr);
+      for (const run_t& run : s.pending) apply_run(idx, run);
+    }
     for (const run_t& run : group_runs) apply_run(idx, run);
     std::swap(s.live, s.standby);
     s.pending = std::move(group_runs);
-    s.standby_caught_up = false;  // the new standby is the just-retired live
-    return yields;
-  }
-
-  // Pipeline stage 2: spawn the asynchronous standby replays for every
-  // slot with a pending log. Call after the new live replicas are
-  // published, so the grace period the tasks wait out is the one the
-  // publication started. With a sequential pool a spawn would execute
-  // inline — all cost, no overlap — so fall back to the classic lazy
-  // replay-on-next-commit there.
-  void spawn_replays() {
-    if (!pipelined_ || num_workers() <= 1 || retention_pinned_) return;
-    for (auto& s : slots_) {
-      if (s.pending.empty() || s.replay.valid() || s.standby_caught_up) {
-        continue;
-      }
-      s.replay_out = std::make_shared<ReplayOutcome>();
-      // The runs MOVE into shared ownership (settle_replay moves them back
-      // on failure); the standby handle is copied, so the grace wait
-      // allows exactly one extra reference — the task's own.
-      s.replay_runs =
-          std::make_shared<std::vector<run_t>>(std::move(s.pending));
-      s.pending.clear();  // moved-from; make the empty state explicit
-      s.replay = AsyncTask([out = s.replay_out, standby = s.standby,
-                            runs = s.replay_runs, metrics = metrics_] {
-        PSI_TRACE_SPAN("replay");
-        telemetry::ScopedTimer timer(
-            metrics ? &metrics->stage_hist(telemetry::Stage::kReplay)
-                    : nullptr);
-        // Smaller grace budget than the inline path (4096): a task that
-        // cannot quiesce is parking a pool *worker* in the sleep loop, so
-        // give up after ~50ms and let the next write retry inline with
-        // the full budget. Uncontended replays exit in a few iterations
-        // either way.
-        const GraceResult grace =
-            await_quiescent(standby, 1024, /*allowed_refs=*/2);
-        out->yields = grace.iters;
-        if (!grace.quiesced) return;
-        for (const run_t& run : *runs) apply_run(*standby, run);
-        out->replayed = true;
-      });
-    }
-  }
-
-  // Join every in-flight replay task; returns total yields. Needed when
-  // the slot array is restructured wholesale (load); individual slot
-  // rebuilds join their own task through AsyncTask move-assign/destruction.
-  std::uint64_t settle_all() {
-    std::uint64_t yields = 0;
-    for (auto& s : slots_) yields += settle_replay(s);
     return yields;
   }
 
@@ -396,13 +327,6 @@ class ShardStore {
   // costs microseconds before the rebuild, not the 4096-iteration
   // sleep-wait of the default budget.
   static constexpr std::uint64_t kPinnedGraceIters = 48;
-
-  // What a detached replay task reports back (shared with the slot so the
-  // task stays self-contained if the slot moves in the meantime).
-  struct ReplayOutcome {
-    bool replayed = false;
-    std::uint64_t yields = 0;
-  };
 
   struct ShardSlot {
     std::shared_ptr<Index> live;     // state as of the last publication
@@ -416,18 +340,6 @@ class ShardStore {
     // run). Skips re-paying flatten+sort every commit until the shard's
     // population actually changes.
     std::size_t unsplittable_at = 0;
-    // Pipeline stage 2: the in-flight asynchronous replay of the pending
-    // runs onto the standby, spawned right after publication. While a task
-    // is in flight the runs live in `replay_runs` (shared with the closure
-    // — moved there, not copied, and moved back into `pending` if the
-    // replay fails); the task never holds a pointer into this slot, so a
-    // slot is free to move while its task runs. `standby_caught_up`
-    // records a successful replay: the standby equals live and is
-    // quiescent.
-    AsyncTask replay;
-    std::shared_ptr<std::vector<run_t>> replay_runs;
-    std::shared_ptr<ReplayOutcome> replay_out;
-    bool standby_caught_up = false;
   };
 
   std::shared_ptr<Index> make_index(std::size_t factory_id) const {
@@ -475,37 +387,6 @@ class ShardStore {
     dst.build(src.flatten());
   }
 
-  // Join the slot's in-flight replay task (if any) and fold its outcome
-  // into the slot: on success the pending log is already on the standby
-  // and the grace period has passed; on failure the runs move back into
-  // `pending` for the inline slow path. Returns the task's yields.
-  std::uint64_t settle_replay(ShardSlot& s) {
-    if (!s.replay.valid()) return 0;
-    // Fold the outcome into the slot before rethrowing a task exception:
-    // the pending log must survive a failed replay (same post-exception
-    // state as the inline writer — live intact, pending intact, standby
-    // possibly part-applied) instead of being silently dropped.
-    std::exception_ptr err;
-    try {
-      s.replay.join();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    std::uint64_t yields = 0;
-    if (s.replay_out) {
-      yields = s.replay_out->yields;
-      if (!err && s.replay_out->replayed) {
-        s.standby_caught_up = true;
-      } else if (s.replay_runs) {
-        s.pending = std::move(*s.replay_runs);
-      }
-      s.replay_out.reset();
-    }
-    s.replay_runs.reset();
-    if (err) std::rethrow_exception(err);
-    return yields;
-  }
-
   static void apply_run(Index& idx, const run_t& run) {
     if (run.pts.empty()) return;
     if (run.is_delete) {
@@ -516,7 +397,6 @@ class ShardStore {
   }
 
   factory_t factory_;
-  bool pipelined_ = true;
   bool retention_pinned_ = false;
   std::shared_ptr<telemetry::ServiceMetrics> metrics_;
   std::vector<ShardSlot> slots_;

@@ -2,11 +2,11 @@
 //
 // ServiceMetrics groups the histograms one service (or one distributed
 // shard host) records into: end-to-end queued-op latency per request kind,
-// snapshot read-path latency per query kind, commit-pipeline stage
+// snapshot read-path latency per query kind, per-stage commit
 // timings, and cache hit/miss service times. It is shared by shared_ptr
-// between the group committer (owner), the shard store (whose detached
-// replay tasks must keep it alive), and every published View (so readers
-// record into it without touching the committer) — histograms are
+// between the group committer (owner), the shard store (which records the
+// grace and replay stages of its apply), and every published View (so
+// readers record into it without touching the committer) — histograms are
 // individually thread-safe, so no further coordination is needed.
 //
 // ShardHeat is the per-shard access-skew accounting the ROADMAP's
@@ -57,11 +57,11 @@ enum class ReadOp : std::size_t {
 };
 inline constexpr std::size_t kNumReadOps = 5;
 
-// Commit-pipeline stages (group_commit.h / shard_store.h / service.h).
+// Commit stages (group_commit.h / shard_store.h / service.h).
 enum class Stage : std::size_t {
   kDrain = 0,   // queue drain (per commit group)
   kApply,       // per-shard standby apply + swap (per shard)
-  kReplay,      // asynchronous standby replay (per task)
+  kReplay,      // pending-log replay onto the standby (per shard)
   kGrace,       // grace-period wait inside apply (per shard)
   kPublish,     // view construction + epoch swap (per commit)
 };

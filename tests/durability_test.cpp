@@ -278,6 +278,39 @@ TEST(WalFuzz, DeleteTargetingRekeyedShardStillRemovesThePoint) {
   expect_same_multiset(rec.all_points(), {{11, 11}});
 }
 
+TEST(WalFuzz, ReplayedDeletesHaveMultisetSemantics) {
+  if (!durability::kEnabled) GTEST_SKIP() << "durability compiled out";
+  // Each replayed delete removes exactly ONE occurrence, whether the copies
+  // share a shard or not: {10,10} is held twice and deleted once (one copy
+  // stays), {12,12} is deleted twice in one run with one copy in each shard
+  // (none stays), and {13,13} is absent everywhere (a no-op).
+  const std::string dir = fresh_dir("multiset_delete");
+  durability::Manifest m;
+  m.epoch = 1;
+  m.shards.resize(2);
+  m.shards[0] = {/*key=*/1, /*version=*/1, /*factory_id=*/0, ""};
+  m.shards[1] = {/*key=*/2, /*version=*/1, /*factory_id=*/0, ""};
+  durability::write_checkpoint<std::int64_t, 2>(
+      dir, m, {{{10, 10}, {11, 11}, {12, 12}, {10, 10}}, {{12, 12}, {14, 14}}},
+      false);
+
+  durability::WalWriter w;
+  w.open(dir, test_cfg(dir));
+  std::vector<service::OpRun<Point2>> runs;
+  runs.push_back({/*is_delete=*/true,
+                  {Point2{12, 12}, Point2{10, 10}, Point2{13, 13},
+                   Point2{12, 12}}});
+  std::vector<durability::CommitShardRef<Point2>> shards;
+  shards.push_back({/*key=*/1, /*version=*/5, &runs});
+  w.append(durability::encode_commit_record(2, shards));
+  w.sync();
+  w.close();
+
+  const auto rec = durability::recover<std::int64_t, 2>(dir);
+  EXPECT_EQ(rec.records_applied, 1u);
+  expect_same_multiset(rec.all_points(), {{10, 10}, {11, 11}, {14, 14}});
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoints and the manifest
 // ---------------------------------------------------------------------------

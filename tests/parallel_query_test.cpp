@@ -6,8 +6,8 @@
 //    parallel code paths run even on small trees / 1-core CI;
 //  * early termination mid-stream through the ConcurrentSink limit;
 //  * Snapshot shard fan-out (TaskGroup path) against the sequential one;
-//  * the pipelined group commit against the brute-force oracle, on and
-//    off, including concurrent writers/readers;
+//  * the group commit against the brute-force oracle, including
+//    concurrent writers/readers;
 //  * the epoch-keyed query cache (hits, misses, invalidation on commit);
 //  * the PSI_GRAIN / set_fork_grain knob.
 
@@ -173,57 +173,53 @@ TEST_F(ParallelQueryTest, SnapshotParallelFanOut) {
   EXPECT_EQ(limited.count(), 1000u);
 }
 
-// Pipelined group commit vs the brute-force oracle: deterministic rounds
-// of mixed inserts/deletes with splits forced mid-run, pipeline on and
-// off; epochs must stay monotone and every future resolve in order.
-TEST_F(ParallelQueryTest, PipelinedCommitMatchesOracle) {
-  for (bool pipelined : {true, false}) {
-    Scheduler::set_num_workers(4);
-    ServiceConfig cfg;
-    cfg.initial_shards = 2;
-    cfg.split_threshold = 3000;  // force topology changes
-    cfg.merge_threshold = 64;
-    cfg.pipelined_commits = pipelined;
-    SpatialService<SpacZTree2> svc(cfg);
-    BruteForceIndex<std::int64_t, 2> oracle;
+// Group commit vs the brute-force oracle: deterministic rounds of mixed
+// inserts/deletes with splits forced mid-run; epochs must stay monotone
+// and every future resolve in order.
+TEST_F(ParallelQueryTest, GroupCommitMatchesOracle) {
+  Scheduler::set_num_workers(4);
+  ServiceConfig cfg;
+  cfg.initial_shards = 2;
+  cfg.split_threshold = 3000;  // force topology changes
+  cfg.merge_threshold = 64;
+  SpatialService<SpacZTree2> svc(cfg);
+  BruteForceIndex<std::int64_t, 2> oracle;
 
-    std::uint64_t last_epoch = 0;
-    for (int round = 0; round < 6; ++round) {
-      auto mine =
-          datagen::uniform<2>(2000, 100 + static_cast<std::uint64_t>(round),
-                              kMax);
-      auto futs = svc.submit_insert_batch(mine);
-      oracle.batch_insert(mine);
-      std::vector<Point2> del(mine.begin(),
-                              mine.begin() + static_cast<std::ptrdiff_t>(
-                                                 mine.size() / 2));
-      auto futs2 = svc.submit_delete_batch(del);
-      oracle.batch_delete(del);
-      svc.flush();
-      for (auto& f : futs) EXPECT_GE(f.get().epoch, last_epoch);
-      for (auto& f : futs2) EXPECT_GT(f.get().epoch, 0u);
-      auto snap = svc.snapshot();
-      EXPECT_GE(snap.epoch(), last_epoch);
-      last_epoch = snap.epoch();
-      ASSERT_EQ(snap.size(), oracle.size()) << "pipelined=" << pipelined;
-      testutil::expect_same_multiset(snap.flatten(), oracle.points());
-    }
-    const auto st = svc.stats();
-    EXPECT_GT(st.splits, 0u);
+  std::uint64_t last_epoch = 0;
+  for (int round = 0; round < 6; ++round) {
+    auto mine =
+        datagen::uniform<2>(2000, 100 + static_cast<std::uint64_t>(round),
+                            kMax);
+    auto futs = svc.submit_insert_batch(mine);
+    oracle.batch_insert(mine);
+    std::vector<Point2> del(mine.begin(),
+                            mine.begin() + static_cast<std::ptrdiff_t>(
+                                               mine.size() / 2));
+    auto futs2 = svc.submit_delete_batch(del);
+    oracle.batch_delete(del);
+    svc.flush();
+    for (auto& f : futs) EXPECT_GE(f.get().epoch, last_epoch);
+    for (auto& f : futs2) EXPECT_GT(f.get().epoch, 0u);
+    auto snap = svc.snapshot();
+    EXPECT_GE(snap.epoch(), last_epoch);
+    last_epoch = snap.epoch();
+    ASSERT_EQ(snap.size(), oracle.size());
+    testutil::expect_same_multiset(snap.flatten(), oracle.points());
   }
+  const auto st = svc.stats();
+  EXPECT_GT(st.splits, 0u);
 }
 
-// Pipelined commit under concurrency: background committer, writer threads
+// Group commit under concurrency: background committer, writer threads
 // with FIFO-safe delete-after-insert traffic, readers asserting snapshot
 // consistency; multiset equality with the oracle at the quiesce point.
-TEST_F(ParallelQueryTest, PipelinedCommitStress) {
+TEST_F(ParallelQueryTest, GroupCommitStress) {
   Scheduler::set_num_workers(4);
   ServiceConfig cfg;
   cfg.initial_shards = 4;
   cfg.split_threshold = 4000;
   cfg.merge_threshold = 64;
   cfg.commit_interval_ms = 1;
-  cfg.pipelined_commits = true;
   SpatialService<SpacZTree2> svc(cfg);
   svc.start();
 

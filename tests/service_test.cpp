@@ -356,6 +356,58 @@ TEST(SpatialService, MergesWhenPopulationShrinks) {
   testutil::expect_same_multiset(snap.flatten(), oracle.points());
 }
 
+// The committing thread holds a snapshot across two flushes. The second
+// commit needs the standby replica that snapshot pins: the grace wait times
+// out and the store rebuilds the standby from live instead of wedging the
+// writer. The held snapshot keeps reading its own epoch, and once it is
+// released the rebuilds stop.
+TEST(SpatialService, PinnedSnapshotAcrossFlushesRebuildsTheStandby) {
+  const auto base = datagen::uniform<2>(4000, 91, kMax);
+  ZService svc(ServiceConfig{.initial_shards = 2});
+  svc.build(base);
+  BruteForceIndex<std::int64_t, 2> as_built;
+  as_built.build(base);
+  BruteForceIndex<std::int64_t, 2> oracle;
+  oracle.build(base);
+  const std::uint64_t rebuilds_before = svc.stats().replica_rebuilds;
+
+  const auto more = datagen::uniform<2>(1000, 93, kMax);
+  const std::vector<Point2> gone(base.begin(), base.begin() + 500);
+  std::uint64_t rebuilds_while_held = 0;
+  {
+    auto held = svc.snapshot();
+    const std::uint64_t held_epoch = held.epoch();
+    svc.submit_insert_batch(more);
+    oracle.batch_insert(more);
+    svc.flush();
+    svc.submit_delete_batch(gone);
+    oracle.batch_delete(gone);
+    svc.flush();
+    EXPECT_EQ(svc.epoch(), held_epoch + 2);  // both commits finished
+
+    rebuilds_while_held = svc.stats().replica_rebuilds;
+    EXPECT_GT(rebuilds_while_held, rebuilds_before);
+
+    EXPECT_EQ(held.epoch(), held_epoch);
+    const auto knn_q = datagen::ind_queries(base, 8, 95, kMax);
+    std::vector<Box2> ranges;
+    for (const auto& q : knn_q) ranges.push_back(box_around(q, kMax / 20));
+    testutil::expect_queries_match(held, as_built, knn_q, 10, ranges);
+    testutil::expect_same_multiset(held.flatten(), base);
+    testutil::expect_same_multiset(svc.snapshot().flatten(), oracle.points());
+  }
+
+  for (int round = 0; round < 3; ++round) {
+    const auto extra = datagen::uniform<2>(
+        200, 97 + static_cast<std::uint64_t>(round), kMax);
+    svc.submit_insert_batch(extra);
+    oracle.batch_insert(extra);
+    svc.flush();
+  }
+  EXPECT_EQ(svc.stats().replica_rebuilds, rebuilds_while_held);
+  testutil::expect_same_multiset(svc.snapshot().flatten(), oracle.points());
+}
+
 // ---------------------------------------------------------------------------
 // Stats plumbing
 // ---------------------------------------------------------------------------
